@@ -8,8 +8,8 @@
 //
 //	Cache front   namespaces · singleflight · TTL · framing/codec · stats
 //	      │
-//	Engine        Memory (LRU) · Log (append-only CRC log) · Pairtree
-//	              (one file per entry under hash-prefix directories)
+//	Engine        Memory (LRU) · Pairtree (one file per entry under
+//	              hash-prefix directories)
 //
 // The Cache front owns every policy — concurrent fills of a key
 // collapse to one computation (singleflight), failures are never
@@ -26,33 +26,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Options configures New, the programmatic constructor predating the
-// engine-spec URL grammar (see ParseSpec/Open for the full surface).
-// The zero value is usable: memory-only with default bounds.
-type Options struct {
-	// MaxEntries bounds the in-memory tier's entry count. Zero selects
-	// the default of 4096; negative disables the in-memory tier (every
-	// hit reads through to the persistent engine).
-	MaxEntries int
-	// MaxBytes bounds the in-memory tier's total value bytes. Zero
-	// selects the default of 256 MiB.
-	MaxBytes int64
-	// Dir, when non-empty, selects the Log engine rooted at Dir, so a
-	// restarted daemon keeps its cache.
-	Dir string
-}
-
-// New opens a cache described by Options. It is equivalent to opening
-// the spec "memory://?entries=..&bytes=.." (Dir empty) or
-// "log://Dir?entries=..&bytes=..".
-func New(opts Options) (*Cache, error) {
-	sp := Spec{Scheme: "memory", Entries: opts.MaxEntries, Bytes: opts.MaxBytes}
-	if opts.Dir != "" {
-		sp.Scheme, sp.Path = "log", opts.Dir
-	}
-	return sp.Open()
-}
 
 // Stats is a point-in-time counter snapshot; see Cache.Stats.
 type Stats struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +15,7 @@ import (
 )
 
 func TestMemHitMiss(t *testing.T) {
-	c, err := New(Options{})
+	c, err := Open("memory://")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestMemHitMiss(t *testing.T) {
 // TestLRUEvictionBounds fills past both bounds and checks the tier
 // stays bounded, evicts oldest-first, and keeps recently-used entries.
 func TestLRUEvictionBounds(t *testing.T) {
-	c, err := New(Options{MaxEntries: 4, MaxBytes: 1 << 20})
+	c, err := Open("memory://?entries=4&bytes=1MiB")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestLRUEvictionBounds(t *testing.T) {
 // entry bound (while always retaining at least one entry, so a single
 // oversized value still caches).
 func TestByteBound(t *testing.T) {
-	c, err := New(Options{MaxEntries: 100, MaxBytes: 150})
+	c, err := Open("memory://?entries=100&bytes=150")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestByteBound(t *testing.T) {
 
 func TestDiskRoundTripAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(Options{Dir: dir})
+	c, err := Open("pairtree://" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +115,8 @@ func TestDiskRoundTripAcrossRestart(t *testing.T) {
 	}
 
 	// Simulated restart: a fresh cache over the same directory serves
-	// every entry from the log.
-	c2, err := New(Options{Dir: dir})
+	// every entry from the store tier.
+	c2, err := Open("pairtree://" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +140,12 @@ func TestDiskRoundTripAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestCorruptedDiskEntrySkipped flips a byte inside one record's value
-// and checks that on reload only that record is lost — the entries
-// before and after it still serve — and the cache keeps working.
+// TestCorruptedDiskEntrySkipped flips a byte inside one entry's value
+// file and checks that on reload only that entry is lost — its
+// neighbours still serve — and the cache keeps working.
 func TestCorruptedDiskEntrySkipped(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(Options{Dir: dir})
+	c, err := Open("pairtree://" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,31 +154,37 @@ func TestCorruptedDiskEntrySkipped(t *testing.T) {
 	c.Put("", "ccc", []byte("third-value"))
 	c.Close()
 
-	path := filepath.Join(dir, logName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := bytes.Index(raw, []byte("second-value"))
-	if i < 0 {
-		t.Fatal("second record not found in log")
-	}
-	raw[i] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o666); err != nil {
-		t.Fatal(err)
+	var damaged int
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if i := bytes.Index(raw, []byte("second-value")); i >= 0 {
+			raw[i] ^= 0xff
+			damaged++
+			return os.WriteFile(path, raw, 0o666)
+		}
+		return nil
+	})
+	if damaged != 1 {
+		t.Fatalf("damaged %d entry files, want 1", damaged)
 	}
 
-	c2, err := New(Options{Dir: dir})
+	c2, err := Open("pairtree://" + dir)
 	if err != nil {
-		t.Fatalf("corrupted record must not be fatal: %v", err)
+		t.Fatalf("corrupted entry must not be fatal: %v", err)
 	}
 	defer c2.Close()
 	if _, ok := c2.Get("", "bbb"); ok {
-		t.Error("corrupted record served")
+		t.Error("corrupted entry served")
 	}
 	for _, k := range []string{"aaa", "ccc"} {
 		if _, ok := c2.Get("", k); !ok {
-			t.Errorf("intact record %s lost alongside the corrupted one", k)
+			t.Errorf("intact entry %s lost alongside the corrupted one", k)
 		}
 	}
 	// The corrupted key is a plain miss: re-putting repairs it.
@@ -189,66 +196,10 @@ func TestCorruptedDiskEntrySkipped(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncated cuts the log mid-record (a crash during
-// append) and checks the intact prefix loads and appends still work.
-func TestTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put("", "aaa", []byte("first-value"))
-	c.Put("", "bbb", []byte("second-value"))
-	c.Close()
-
-	path := filepath.Join(dir, logName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-5], 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("torn tail must not be fatal: %v", err)
-	}
-	if _, ok := c2.Get("", "aaa"); !ok {
-		t.Error("intact prefix record lost")
-	}
-	if _, ok := c2.Get("", "bbb"); ok {
-		t.Error("torn record served")
-	}
-	c2.Put("", "ccc", []byte("third-value"))
-	c2.Close()
-
-	c3, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c3.Close()
-	for _, k := range []string{"aaa", "ccc"} {
-		if _, ok := c3.Get("", k); !ok {
-			t.Errorf("%s missing after post-truncation append", k)
-		}
-	}
-}
-
-func TestForeignLogRejected(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, logName), []byte("not a cache log at all"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Options{Dir: dir}); err == nil {
-		t.Fatal("foreign file silently adopted as a cache log")
-	}
-}
-
 // TestDoSingleflight launches many concurrent Do calls for one key and
 // checks exactly one computes while the rest share its bytes.
 func TestDoSingleflight(t *testing.T) {
-	c, err := New(Options{})
+	c, err := Open("memory://")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +255,7 @@ func TestDoSingleflight(t *testing.T) {
 // TestDoErrorNotCached: a failed compute reaches every waiter but the
 // next Do retries.
 func TestDoErrorNotCached(t *testing.T) {
-	c, err := New(Options{})
+	c, err := Open("memory://")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +274,7 @@ func TestDoErrorNotCached(t *testing.T) {
 // different entries — one tenant's cells are invisible to another —
 // and the per-namespace counters track each tenant separately.
 func TestNamespaceIsolation(t *testing.T) {
-	for _, spec := range []string{"memory://", "log://{dir}", "pairtree://{dir}?compress=gzip"} {
+	for _, spec := range []string{"memory://", "pairtree://{dir}", "pairtree://{dir}?compress=gzip"} {
 		t.Run(spec, func(t *testing.T) {
 			c := openSpec(t, spec, t.TempDir())
 			if err := c.Put("alice", "cell", []byte("alice-result")); err != nil {
@@ -418,7 +369,7 @@ func TestCodecSelfDescribing(t *testing.T) {
 // compressible payloads, and the raw side matches the payload sizes.
 func TestCompressionAccounting(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open("log://" + dir + "?compress=gzip")
+	c, err := Open("pairtree://" + dir + "?compress=gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +386,7 @@ func TestCompressionAccounting(t *testing.T) {
 		t.Errorf("gzip did not shrink: raw=%d stored=%d", s.BytesRaw, s.BytesStored)
 	}
 	// Byte-identical replay through the compressed store tier.
-	c2, err := Open("log://" + dir + "?compress=gzip&entries=-1")
+	c2, err := Open("pairtree://" + dir + "?compress=gzip&entries=-1")
 	if err != nil {
 		t.Fatal(err)
 	}

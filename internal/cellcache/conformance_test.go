@@ -34,20 +34,6 @@ var engineCases = []engineCase{
 		open: func(t *testing.T, dir string) Engine { return NewMemory(0, 0) },
 	},
 	{
-		name:       "log",
-		persistent: true,
-		open: func(t *testing.T, dir string) Engine {
-			e, err := OpenLog(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		},
-		corrupt: func(t *testing.T, dir string) {
-			corruptFile(t, filepath.Join(dir, logName), len(logMagic))
-		},
-	},
-	{
 		name:       "pairtree",
 		persistent: true,
 		open: func(t *testing.T, dir string) Engine {
@@ -82,7 +68,7 @@ func corruptPairtree(t *testing.T, dir string) {
 	n := 0
 	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(path, pairtreeSuffix) {
-			corruptFile(t, path, 0)
+			corruptFile(t, path)
 			n++
 		}
 		return nil
@@ -92,19 +78,18 @@ func corruptPairtree(t *testing.T, dir string) {
 	}
 }
 
-// corruptFile flips a byte in the back half of the file (inside value
-// bytes, past headers at off), simulating bit rot.
-func corruptFile(t *testing.T, path string, off int) {
+// corruptFile flips the byte three quarters of the way into the file
+// (inside value bytes, past the headers), simulating bit rot.
+func corruptFile(t *testing.T, path string) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) <= off {
+	if len(raw) == 0 {
 		t.Fatalf("%s too short to corrupt", path)
 	}
-	i := off + (len(raw)-off)*3/4
-	raw[i] ^= 0xff
+	raw[len(raw)*3/4] ^= 0xff
 	if err := os.WriteFile(path, raw, 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +212,6 @@ type cacheCase struct {
 var cacheCases = []cacheCase{
 	{"memory", false, func(dir, params string) string { return "memory://" + params }},
 	{"memory-gzip", false, func(dir, params string) string { return "memory://" + join(params, "compress=gzip") }},
-	{"log", true, func(dir, params string) string { return "log://" + dir + params }},
-	{"log-gzip", true, func(dir, params string) string { return "log://" + dir + join(params, "compress=gzip") }},
 	{"pairtree", true, func(dir, params string) string { return "pairtree://" + dir + params }},
 	{"pairtree-gzip", true, func(dir, params string) string { return "pairtree://" + dir + join(params, "compress=gzip") }},
 	// Zero-probability fault wrapper: the full Cache contract must hold

@@ -1,11 +1,10 @@
 package cellcache
 
 // Engine is the storage boundary of the cell cache: a flat key→value
-// store of opaque bytes. Three implementations ship — Memory (bounded
-// LRU), Log (one append-only CRC-checked file), and Pairtree (one file
-// per entry under fanned-out hash-prefix directories) — and a remote
-// or peer tier slots in behind the same five methods without touching
-// the Cache front or any HTTP handler.
+// store of opaque bytes. Two implementations ship — Memory (bounded
+// LRU) and Pairtree (one file per entry under fanned-out hash-prefix
+// directories) — and wrappers (Faulty, Remote) slot in behind the same
+// six methods without touching the Cache front or any HTTP handler.
 //
 // Engines know nothing about compression, TTL, or tenancy: the Cache
 // front frames every value (codec byte + expiry + payload, see
@@ -17,9 +16,9 @@ package cellcache
 // suite in conformance_test.go):
 //
 //   - Put is an upsert: the last write for a key wins, including
-//     across a restart for persistent engines.
-//   - Get of a corrupted entry is a miss, never an error: persistent
-//     engines verify checksums and drop damaged entries.
+//     across a restart for a persistent engine.
+//   - Get of a corrupted entry is a miss, never an error: a persistent
+//     engine verifies checksums and drops damaged entries.
 //   - Delete is idempotent; deleting a missing key is a no-op.
 //   - Keys iterates a point-in-time snapshot of the key set (used for
 //     startup TTL scans); yield returning false stops the walk.
@@ -41,9 +40,9 @@ type Engine interface {
 	Close() error
 }
 
-// Key and value bounds shared by the persistent engines. Keys are
-// namespace-prefixed fingerprints (well under 1 KiB); values are
-// framed serialized SweepResults.
+// Key and value bounds of the persistent engine and the frame codec.
+// Keys are namespace-prefixed fingerprints (well under 1 KiB); values
+// are framed serialized SweepResults.
 const (
 	maxKeyLen = 1 << 10
 	maxValLen = 1 << 30

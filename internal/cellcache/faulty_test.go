@@ -242,7 +242,7 @@ func TestSpecFaultGrammar(t *testing.T) {
 	}
 
 	// breaker=0 is explicit off, and survives the round trip.
-	sp, err = ParseSpec("log:///data?breaker=0")
+	sp, err = ParseSpec("pairtree:///data?breaker=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestSpecFaultGrammar(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"log:///data?fault_put=0.5",          // fault knob without faulty+
+		"pairtree:///data?fault_put=0.5",     // fault knob without faulty+
 		"faulty+memory://?fault_put=1.5",     // probability out of range
 		"faulty+memory://?fault_seed=x",      // not a number
 		"faulty+memory://?fault_latency=-1s", // negative duration
@@ -268,29 +268,46 @@ func TestSpecFaultGrammar(t *testing.T) {
 	}
 }
 
-// TestFrameV2BackCompat: sce2 frames (no body length) written by older
-// caches still decode, and a truncated sce3 raw frame is a loud error,
-// not silently short bytes.
-func TestFrameV2BackCompat(t *testing.T) {
-	payload := []byte(`{"cycles":123}`)
-	v2 := make([]byte, frameHdrV2+len(payload))
-	copy(v2, frameMagicV2)
-	v2[4] = CodecRaw
-	binary.LittleEndian.PutUint64(v2[5:13], 0)
-	copy(v2[frameHdrV2:], payload)
-	got, expiry, codec, err := decodeFrame(v2)
-	if err != nil || !bytes.Equal(got, payload) || expiry != 0 || codec != CodecRaw {
-		t.Fatalf("v2 frame decode = %q, %d, %d, %v", got, expiry, codec, err)
-	}
-
-	v3, err := encodeFrame(CodecRaw, 0, payload)
+// TestFrameV2ReadsAsMiss: a v2 frame ("sce2", no body length) left
+// in the store by an older release is a miss, not a hit: Do simulates
+// the cell again and overwrites the entry with a current frame. A
+// truncated current frame is a loud error, not silently short bytes.
+func TestFrameV2ReadsAsMiss(t *testing.T) {
+	c, err := Open("pairtree://" + t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _, err := decodeFrame(v3); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("v3 frame decode = %q, %v", got, err)
+	defer c.Close()
+	stale := []byte(`{"cycles":123}`)
+	v2 := append([]byte("sce2"), CodecRaw)
+	v2 = binary.LittleEndian.AppendUint64(v2, 0) // expiry: never
+	v2 = append(v2, stale...)
+	if err := c.store.Put("cell", v2); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := []byte(`{"cycles":456}`)
+	calls := 0
+	got, cached, err := c.Do("", "cell", func() ([]byte, error) {
+		calls++
+		return fresh, nil
+	})
+	if err != nil || cached || calls != 1 || !bytes.Equal(got, fresh) {
+		t.Fatalf("Do over a v2 frame = %q, cached=%v, calls=%d, %v; want a recompute", got, cached, calls, err)
+	}
+	frame, ok := c.store.Get("cell")
+	if !ok || string(frame[:4]) != frameMagic {
+		t.Fatalf("store entry after recompute = %q, %v; want a %s frame", frame, ok, frameMagic)
+	}
+	if payload, _, _, err := decodeFrame(frame); err != nil || !bytes.Equal(payload, fresh) {
+		t.Fatalf("rewritten frame decodes to %q, %v", payload, err)
+	}
+
+	v3, err := encodeFrame(CodecRaw, 0, fresh)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, _, _, err := decodeFrame(v3[:len(v3)-3]); err == nil {
-		t.Error("truncated v3 frame decoded without error")
+		t.Error("truncated frame decoded without error")
 	}
 }

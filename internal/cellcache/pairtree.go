@@ -27,11 +27,10 @@ import (
 //
 // little-endian. Writes go to a temp file in root and rename into
 // place, so a crash mid-write leaves either the old entry or none —
-// never a torn one — and an upsert is atomic. Unlike the Log engine
-// there is no global file to rewrite or scan on eviction: Delete
-// removes one file, and startup only counts entries instead of
-// replaying a log, so huge caches open fast and evicting one tenant's
-// cells never touches another's.
+// never a torn one — and an upsert is atomic. There is no global file
+// to rewrite or scan on eviction: Delete removes one file, and startup
+// only counts entries, so huge caches open fast and evicting one
+// tenant's cells never touches another's.
 type Pairtree struct {
 	root string
 

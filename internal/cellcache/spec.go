@@ -13,12 +13,11 @@ import (
 // orthogonal axes (front-tier bounds, codec, TTL, breaker, faults):
 //
 //	memory://?entries=4096&bytes=256MiB
-//	log:///var/lib/stashd?compress=gzip
 //	pairtree:///var/lib/stashd?compress=gzip&ttl=24h&entries=1024
 //	faulty+pairtree:///tmp/chaos?fault_seed=7&fault_put=0.2&fault_torn=0.1
 //	remote+memory://?peers=http://a:8080,http://b:8080&self=http://a:8080
 //
-// For the persistent engines, entries/bytes bound the in-memory front
+// For the persistent engine, entries/bytes bound the in-memory front
 // tier composed in front of the engine (entries=-1 disables it);
 // compress selects the payload codec (none, gzip); ttl arms expiry
 // with extend-on-read; breaker/breaker_backoff tune the store tier's
@@ -32,9 +31,9 @@ import (
 // remote+faulty+<engine>. Unknown query parameters are an error — a
 // typoed knob must not silently select defaults.
 type Spec struct {
-	// Scheme is the engine: "memory", "log", or "pairtree".
+	// Scheme is the engine: "memory" or "pairtree".
 	Scheme string
-	// Path roots a persistent engine's files. Empty for memory.
+	// Path roots the pairtree engine's files. Empty for memory.
 	Path string
 	// Entries and Bytes bound the in-memory tier (the whole cache for
 	// memory, the front tier otherwise). Zero selects the defaults
@@ -88,13 +87,13 @@ func ParseSpec(raw string) (Spec, error) {
 			return Spec{}, fmt.Errorf("cellcache: memory:// takes no path (got %q)", sp.Path)
 		}
 		sp.Path = ""
-	case "log", "pairtree":
+	case "pairtree":
 		sp.Path = strings.TrimSuffix(sp.Path, "/")
 		if sp.Path == "" {
-			return Spec{}, fmt.Errorf("cellcache: %s:// requires a directory path", sp.Scheme)
+			return Spec{}, fmt.Errorf("cellcache: pairtree:// requires a directory path")
 		}
 	default:
-		return Spec{}, fmt.Errorf("cellcache: unknown cache engine %q (want memory, log, or pairtree)", sp.Scheme)
+		return Spec{}, fmt.Errorf("cellcache: unknown cache engine %q (want memory or pairtree)", sp.Scheme)
 	}
 	q, err := url.ParseQuery(u.RawQuery)
 	if err != nil {
@@ -378,7 +377,7 @@ func Open(raw string) (*Cache, error) {
 }
 
 // Open builds the engine the spec names, composes the Cache front over
-// it, and runs the startup TTL scan for persistent engines. A fault
+// it, and runs the startup TTL scan for a store engine. A fault
 // profile wraps the store engine in a Faulty; unless disabled, a store
 // engine also gets the circuit breaker (default threshold, or the
 // spec's breaker/breaker_backoff overrides).
@@ -397,8 +396,6 @@ func (sp Spec) Open() (*Cache, error) {
 		if sp.Fault != nil || sp.Remote != nil {
 			c.store = NewMemory(0, 0)
 		}
-	case "log":
-		c.store, err = OpenLog(sp.Path)
 	case "pairtree":
 		c.store, err = OpenPairtree(sp.Path)
 	default:

@@ -13,9 +13,9 @@ func TestParseSpec(t *testing.T) {
 		{"memory://", Spec{Scheme: "memory"}},
 		{"memory://?entries=4096&bytes=256MiB", Spec{Scheme: "memory", Entries: 4096, Bytes: 256 << 20}},
 		{"memory://?entries=-1", Spec{Scheme: "memory", Entries: -1}},
-		{"log:///var/lib/stashd", Spec{Scheme: "log", Path: "/var/lib/stashd"}},
-		{"log://cache", Spec{Scheme: "log", Path: "cache"}},
-		{"log://cache/sub?bytes=1GiB", Spec{Scheme: "log", Path: "cache/sub", Bytes: 1 << 30}},
+		{"pairtree:///var/lib/stashd", Spec{Scheme: "pairtree", Path: "/var/lib/stashd"}},
+		{"pairtree://cache", Spec{Scheme: "pairtree", Path: "cache"}},
+		{"pairtree://cache/sub?bytes=1GiB", Spec{Scheme: "pairtree", Path: "cache/sub", Bytes: 1 << 30}},
 		{"pairtree:///data?compress=gzip&ttl=24h", Spec{Scheme: "pairtree", Path: "/data", Codec: CodecGzip, TTL: 24 * time.Hour}},
 		{"pairtree://d?compress=none&ttl=90s&entries=16&bytes=4096", Spec{Scheme: "pairtree", Path: "d", Entries: 16, Bytes: 4096, TTL: 90 * time.Second}},
 	}
@@ -33,17 +33,17 @@ func TestParseSpec(t *testing.T) {
 
 func TestParseSpecRejects(t *testing.T) {
 	for _, in := range []string{
-		"",                     // no scheme
-		"redis://host",         // unknown engine
-		"log://",               // persistent engine without a path
-		"pairtree://",          // ditto
-		"memory:///some/path",  // memory takes no path
-		"memory://?entires=4",  // typoed parameter
-		"memory://?entries=x",  // bad int
-		"memory://?bytes=10XB", // bad size suffix
-		"log://d?compress=lz4", // unknown codec
-		"log://d?ttl=soon",     // bad duration
-		"log://d?ttl=-5m",      // negative ttl
+		"",                          // no scheme
+		"redis://host",              // unknown engine
+		"log:///d",                  // removed engine
+		"pairtree://",               // persistent engine without a path
+		"memory:///some/path",       // memory takes no path
+		"memory://?entires=4",       // typoed parameter
+		"memory://?entries=x",       // bad int
+		"memory://?bytes=10XB",      // bad size suffix
+		"pairtree://d?compress=lz4", // unknown codec
+		"pairtree://d?ttl=soon",     // bad duration
+		"pairtree://d?ttl=-5m",      // negative ttl
 	} {
 		if sp, err := ParseSpec(in); err == nil {
 			t.Errorf("ParseSpec(%q) accepted: %+v", in, sp)
@@ -54,7 +54,7 @@ func TestParseSpecRejects(t *testing.T) {
 func TestSpecRoundTrip(t *testing.T) {
 	for _, in := range []string{
 		"memory://",
-		"log://cache?entries=16",
+		"pairtree://cache?entries=16",
 		"pairtree:///data?bytes=1048576&compress=gzip&ttl=24h0m0s",
 	} {
 		sp, err := ParseSpec(in)

@@ -253,7 +253,7 @@ func TestDisconnectStorm(t *testing.T) {
 func TestSharedFlightDisconnect(t *testing.T) {
 	for _, tc := range []struct{ name, spec string }{
 		{"memory", "memory://"},
-		{"log", "log://{dir}"},
+		{"pairtree", "pairtree://{dir}"},
 		{"pairtree-gzip", "pairtree://{dir}?compress=gzip"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -332,7 +332,7 @@ func TestSharedFlightDisconnect(t *testing.T) {
 // queued cells fast with structured not_started lines while the
 // in-flight cell finishes — the stream stays whole, nothing wedges.
 func TestDrainDuringSweep(t *testing.T) {
-	cache, err := cellcache.New(cellcache.Options{})
+	cache, err := cellcache.Open("memory://")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *compare != "" {
-		if err := compareBaseline(rep, *compare, *floor); err != nil {
+		if err := compareBaseline(rep, *compare, *floor, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
@@ -135,7 +135,9 @@ func foldMinOf(recs []record, n int, warn io.Writer) []record {
 // requires the geomean of the new/baseline sim_cycles_per_sec ratios to
 // stay at or above floor. Records without a sim_cycles metric on both
 // sides (micro-benchmarks without a simulated clock) are ignored.
-func compareBaseline(rep report, path string, floor float64) error {
+// Records the baseline has no row for are listed on w, so a newly
+// benchmarked cell is visibly ungated rather than silently skipped.
+func compareBaseline(rep report, path string, floor float64, w io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -152,11 +154,15 @@ func compareBaseline(rep report, path string, floor float64) error {
 	n := 0
 	for _, r := range rep.Benchmarks {
 		b, ok := baseBy[stripProcs(r.Name)]
-		if !ok || r.SimCyclesPerSec <= 0 || b.SimCyclesPerSec <= 0 {
+		if !ok {
+			fmt.Fprintf(w, "compare %-60s no baseline row\n", r.Name)
+			continue
+		}
+		if r.SimCyclesPerSec <= 0 || b.SimCyclesPerSec <= 0 {
 			continue
 		}
 		ratio := r.SimCyclesPerSec / b.SimCyclesPerSec
-		fmt.Fprintf(os.Stderr, "compare %-60s %12.0f -> %12.0f cycles/s  (%.2fx)\n",
+		fmt.Fprintf(w, "compare %-60s %12.0f -> %12.0f cycles/s  (%.2fx)\n",
 			r.Name, b.SimCyclesPerSec, r.SimCyclesPerSec, ratio)
 		logSum += math.Log(ratio)
 		n++
@@ -165,7 +171,7 @@ func compareBaseline(rep report, path string, floor float64) error {
 		return fmt.Errorf("no comparable sim_cycles_per_sec records between report and %s", path)
 	}
 	geomean := math.Exp(logSum / float64(n))
-	fmt.Fprintf(os.Stderr, "compare geomean over %d cells: %.3fx (floor %.2fx, baseline %s)\n",
+	fmt.Fprintf(w, "compare geomean over %d cells: %.3fx (floor %.2fx, baseline %s)\n",
 		n, geomean, floor, path)
 	if geomean < floor {
 		return fmt.Errorf("sim_cycles_per_sec geomean %.3fx below floor %.2fx vs %s", geomean, floor, path)

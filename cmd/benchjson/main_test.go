@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -59,5 +62,44 @@ func TestFoldMinOfSingletons(t *testing.T) {
 	}
 	if warn.Len() != 0 {
 		t.Errorf("min-of 1 warned: %q", warn.String())
+	}
+}
+
+// A report row the baseline lacks is listed, not silently skipped; rows
+// present on both sides still gate on the geomean.
+func TestCompareListsRowsWithoutBaseline(t *testing.T) {
+	base := report{Benchmarks: []record{
+		{Name: "BenchmarkFig5/reuse/Cache-2", SimCyclesPerSec: 100},
+	}}
+	data, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_base.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep := report{Benchmarks: []record{
+		{Name: "BenchmarkFig5/reuse/Cache-8", SimCyclesPerSec: 200},
+		{Name: "BenchmarkFig6/surf/Cache-8", SimCyclesPerSec: 50},
+		{Name: "BenchmarkWarpStep-8", NsPerOp: 3},
+	}}
+	var out strings.Builder
+	if err := compareBaseline(rep, path, 0.7, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"BenchmarkFig6/surf/Cache-8",
+		"BenchmarkWarpStep-8",
+		"(2.00x)",
+		"geomean over 1 cells",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("compare output lacks %q:\n%s", want, got)
+		}
+	}
+	if n := strings.Count(got, "no baseline row"); n != 2 {
+		t.Errorf("%d rows reported without baseline, want 2:\n%s", n, got)
 	}
 }

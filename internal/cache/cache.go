@@ -12,6 +12,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -109,81 +110,26 @@ type waiter struct {
 	done func(vals [memdata.WordsPerLine]uint32)
 }
 
-// opKind discriminates pooled deferred operations.
-type opKind uint8
-
-const (
-	opRetryLoad  opKind = iota // re-issue a structurally stalled Load
-	opRetryStore               // re-issue a structurally stalled Store
-	opDeliver                  // deliver vals to a load's done callback
-)
-
-// op is a pooled deferred operation: a retried access or a completing
-// load. Its run closure is bound once when the op is first created, so
-// scheduling a retry or a hit/fill completion allocates nothing in
-// steady state.
+// op is a pooled load completion: it delivers vals to the load's done
+// callback. Its run closure is bound once when the op is first created,
+// so scheduling a hit or fill completion allocates nothing in steady
+// state.
 type op struct {
-	c       *Cache
-	kind    opKind
-	counted bool // replayed accesses are held in c.outstanding until re-issued
-	addr    memdata.PAddr
-	mask    memdata.WordMask
-	vals    [memdata.WordsPerLine]uint32
-	doneL   func(vals [memdata.WordsPerLine]uint32)
-	doneS   func()
-	run     func()
+	c     *Cache
+	vals  [memdata.WordsPerLine]uint32
+	doneL func(vals [memdata.WordsPerLine]uint32)
+	run   func()
 }
 
-// fire performs the op's deferred operation. Retried accesses — the
-// high-frequency kind during a structural replay storm — reuse the op
-// in place when they stall again: no pool round-trip, no field copies,
-// just another Schedule of the already-bound run closure. The op is
-// released only once the access proceeds (or, for opDeliver, before
-// the callback runs, which may itself acquire ops).
+// fire releases the op before running the callback, which may itself
+// acquire ops.
 func (o *op) fire() {
 	c := o.c
-	counted := o.counted
-	if counted {
-		o.counted = false
-		c.outstanding--
-	}
-	switch o.kind {
-	case opRetryLoad:
-		l := c.allocate(o.addr)
-		switch {
-		case l == nil:
-			c.eng.Schedule(4, o.run)
-		case !c.loadWith(l, o.addr, o.mask, o.doneL):
-			o.counted = true
-			c.outstanding++
-			c.eng.Schedule(4, o.run)
-		default:
-			o.doneL = nil
-			c.opFree = append(c.opFree, o)
-		}
-	case opRetryStore:
-		l := c.allocate(o.addr)
-		switch {
-		case l == nil:
-			c.eng.Schedule(4, o.run)
-		case !c.storeWith(l, o.addr, o.mask, &o.vals, o.doneS):
-			o.counted = true
-			c.outstanding++
-			c.eng.Schedule(4, o.run)
-		default:
-			o.doneS = nil
-			c.opFree = append(c.opFree, o)
-		}
-	default: // opDeliver
-		vals := o.vals
-		doneL := o.doneL
-		o.doneL = nil
-		c.opFree = append(c.opFree, o)
-		doneL(vals)
-	}
-	if counted {
-		c.checkDrained()
-	}
+	vals := o.vals
+	doneL := o.doneL
+	o.doneL = nil
+	c.opFree = append(c.opFree, o)
+	doneL(vals)
 }
 
 func (c *Cache) newOp() *op {
@@ -195,6 +141,346 @@ func (c *Cache) newOp() *op {
 	o := &op{c: c}
 	o.run = o.fire
 	return o
+}
+
+// retryDelay is how many cycles a structurally stalled access waits
+// before it re-issues.
+const retryDelay = 4
+
+// retry is one structurally stalled Load or Store, parked in
+// Cache.retries until it re-issues. Records are addressed by index, so
+// the table can grow while batches hold their ids.
+type retry struct {
+	addr  memdata.PAddr
+	mask  memdata.WordMask
+	store bool
+	// counted: the last attempt found a line but no free MSHR (loads) or
+	// registration slot (stores), and the record is held in
+	// c.outstanding until it re-issues, so a drain cannot complete before
+	// it has. An attempt that found every way busy is not counted.
+	counted bool
+	vals    [memdata.WordsPerLine]uint32
+	doneL   func(vals [memdata.WordsPerLine]uint32)
+	doneS   func()
+}
+
+// ref is a batch's handle on a parked record. It copies the fields a
+// frozen set's re-issue reads, so that re-issue never loads the record.
+type ref struct {
+	id, set int32
+	counted bool
+	store   bool
+}
+
+// batch is one engine event that re-issues a run of parked retries due
+// in the same cycle, in the order they were deferred. A deferral joins
+// the newest batch only while that batch's event is still the last one
+// scheduled for its cycle (sim.Engine.Tail), so the batch occupies
+// exactly the FIFO slots its records would have taken as separate
+// events, and the engine's order is unchanged.
+type batch struct {
+	c    *Cache
+	at   sim.Cycle
+	seq  uint64 // the batch event's engine sequence number
+	refs []ref
+	run  func()
+}
+
+// fire re-issues the batch's records in order. A frozen set's re-issue
+// whose condition still holds (see setWatch) only counts itself and
+// defers again. A run of such re-issues schedules nothing else, so the
+// MSHR and registration-buffer conditions cannot change within the run,
+// and once its first deferral has found the batch for now+retryDelay,
+// the rest of the run appends to that batch directly.
+func (b *batch) fire() {
+	c := b.c
+	var next *batch // the batch the current run of frozen re-issues defers to
+	var mshrsFull, regsFull bool
+	for i := 0; i < len(b.refs); i++ {
+		x := b.refs[i]
+		s := &c.sets[x.set]
+		if s.frozen {
+			if next == nil {
+				mshrsFull, regsFull = c.slotsFull(false), c.slotsFull(true)
+			}
+			if !x.counted || (x.store && regsFull) || (!x.store && mshrsFull) {
+				s.fires++
+				if next == nil {
+					next = c.deferRetry(x)
+				} else {
+					next.refs = append(next.refs, x)
+				}
+				continue
+			}
+		}
+		next = nil
+		c.reissue(x)
+	}
+	b.refs = b.refs[:0]
+	if c.tail == b {
+		c.tail = nil
+	}
+	c.batchFree = append(c.batchFree, b)
+}
+
+// park files a stalled access as a retry record and defers it.
+func (c *Cache) park(r retry) {
+	var id int32
+	if n := len(c.retryFree); n > 0 {
+		id = c.retryFree[n-1]
+		c.retryFree = c.retryFree[:n-1]
+		c.retries[id] = r
+	} else {
+		id = int32(len(c.retries))
+		c.retries = append(c.retries, r)
+	}
+	if r.counted {
+		c.outstanding++
+	}
+	si := c.setIndex(r.addr)
+	c.watch[si].parked++
+	c.deferRetry(ref{id: id, set: int32(si), counted: r.counted, store: r.store})
+}
+
+// deferRetry schedules a parked record to re-issue retryDelay cycles
+// from now, and returns the batch that holds it.
+func (c *Cache) deferRetry(x ref) *batch {
+	at := c.eng.Now() + retryDelay
+	if b := c.tail; b != nil && b.at == at {
+		if seq, ok := c.eng.Tail(at); ok && seq == b.seq {
+			b.refs = append(b.refs, x)
+			return b
+		}
+	}
+	var b *batch
+	if n := len(c.batchFree); n > 0 {
+		b = c.batchFree[n-1]
+		c.batchFree = c.batchFree[:n-1]
+	} else {
+		b = &batch{c: c}
+		b.run = b.fire
+	}
+	b.at = at
+	b.refs = append(b.refs, x)
+	c.eng.At(at, b.run)
+	b.seq, _ = c.eng.Tail(at)
+	c.tail = b
+	return b
+}
+
+// reissue re-runs a parked record: the access either proceeds and the
+// record is released, or it stalls again and is deferred. A frozen set
+// reaching here has a record whose condition no longer holds, and thaws
+// first.
+func (c *Cache) reissue(x ref) {
+	si := int(x.set)
+	s := &c.sets[si]
+	if s.frozen {
+		c.unwatch(si)
+	}
+	id := x.id
+	r := &c.retries[id]
+	counted := r.counted
+	if counted {
+		r.counted = false
+		c.outstanding--
+	}
+	l, how := c.allocateIn(s, r.addr)
+	ok := false
+	if l != nil {
+		if r.store {
+			ok = c.storeWith(l, r.addr, r.mask, &r.vals, r.doneS)
+		} else {
+			ok = c.loadWith(l, r.addr, r.mask, r.doneL)
+		}
+	}
+	if ok {
+		r.doneL, r.doneS = nil, nil
+		c.retryFree = append(c.retryFree, id)
+		c.watch[si].parked--
+		c.unwatch(si)
+	} else {
+		if l != nil {
+			r.counted = true
+			c.outstanding++
+		}
+		x.counted = r.counted
+		c.deferRetry(x)
+		if how <= allocEvict && r.counted == counted {
+			c.observe(si, id, how == allocEvict)
+		} else {
+			c.unwatch(si)
+		}
+	}
+	if counted {
+		c.checkDrained()
+	}
+}
+
+// slotsFull reports whether the resource a stalled load (MSHRs) or
+// store (registration buffer) waits for is still exhausted.
+func (c *Cache) slotsFull(store bool) bool {
+	if store {
+		return c.p.MSHRs > 0 && len(c.pendingReg) >= c.p.MSHRs
+	}
+	return c.p.MSHRs > 0 && len(c.mshrs) >= c.p.MSHRs
+}
+
+// watchSlots is how many round snapshots a set keeps: the newest and
+// the watchSlots-1 before it, the longest period a freeze can detect.
+const watchSlots = 9
+
+// setWatch observes one set's parked retries to find a periodic storm.
+//
+// A re-issue is clean when it fails, its allocate was a resident hit,
+// an eviction of an empty line (no Shared or Registered words) whose
+// install did not wait on a writeback, or nil because every way is
+// busy, and its counted flag did not change. Clean re-issues change
+// nothing but the set (LRU order, tags of evicted empty lines) and the
+// eviction counter. With K records parked on the set, the re-issues
+// come in a fixed cyclic order, each record once per K, for as long as
+// no record joins or leaves; a round is K clean re-issues in that
+// order, which observe checks. The set's full state is snapshotted
+// after each round. When a snapshot
+// equals the one d rounds earlier, the set and its periodic input
+// repeat with a period of dK re-issues from here on, so the set
+// freezes: later re-issues skip allocate and only re-check the global
+// condition (MSHR file or registration buffer full) of the counted
+// records, whose clean re-issues all found a line. The eviction counter
+// lags a frozen set until it thaws; a set is frozen only while records
+// are parked on it.
+//
+// Any other access to the set first thaws it (unwatch): whole periods
+// add their known evictions, the remaining re-issues replay through
+// allocate, and the observation restarts. So does a re-issue whose
+// condition no longer holds, before it runs normally.
+type setWatch struct {
+	parked int32 // retry records whose line maps to the set: K
+	// The observation has seen `round` whole rounds and pos re-issues
+	// of the current one.
+	round, pos int
+	order      []int32 // record ids in re-issue order, taken in round 0
+	roundEv    uint64  // evictions so far in the current round
+	// snaps holds watchSlots round snapshots of 2*Ways words each: a
+	// way's tag, then its word-state masks, flags and LRU rank.
+	snaps []uint64
+	ev    [watchSlots]uint64 // evictions in each snapshot's round
+	// Frozen: the set repeats a period of `period` re-issues that evict
+	// perEv lines (cset.fires counts the re-issues since the freeze).
+	period, perEv uint64
+}
+
+// observe records a clean re-issue of record id on set si.
+func (c *Cache) observe(si int, id int32, evicted bool) {
+	w := &c.watch[si]
+	if w.round == 0 {
+		w.order = append(w.order, id)
+	} else if w.order[w.pos] != id {
+		c.unwatch(si) // not the cyclic order the freeze relies on
+		return
+	}
+	c.sets[si].watched = true
+	if evicted {
+		w.roundEv++
+	}
+	if w.pos++; w.pos == int(w.parked) {
+		w.pos = 0
+		w.round++
+		c.snapshot(si, w.round)
+	}
+}
+
+// snapshot records set si's state after round j (counting from 1) and
+// freezes the set when the state repeats one of the last watchSlots-1
+// rounds.
+func (c *Cache) snapshot(si, j int) {
+	s, w := &c.sets[si], &c.watch[si]
+	n := 2 * c.p.Ways
+	if w.snaps == nil {
+		// The cache's first storm: size every set's snapshots at once.
+		// Caches that never storm (most CPU L1s) never pay for them.
+		all := make([]uint64, len(c.sets)*watchSlots*n)
+		for i := range c.watch {
+			c.watch[i].snaps = all[i*watchSlots*n : (i+1)*watchSlots*n]
+		}
+	}
+	slot := j % watchSlots
+	cur := w.snaps[slot*n : (slot+1)*n]
+	for i := range c.p.Ways {
+		if i >= len(s.lines) {
+			cur[2*i], cur[2*i+1] = 0, 0
+			continue
+		}
+		l := s.lines[i]
+		var rank uint64
+		for _, st := range s.stamp {
+			if st > s.stamp[i] {
+				rank++
+			}
+		}
+		state := uint64(l.shared) | uint64(l.reg)<<16 | uint64(l.pend)<<32 | 1<<50 | rank<<56
+		if l.mshr != nil {
+			state |= 1 << 48
+		}
+		if l.wbWait {
+			state |= 1 << 49
+		}
+		cur[2*i], cur[2*i+1] = uint64(s.addrs[i]), state
+	}
+	w.ev[slot] = w.roundEv
+	w.roundEv = 0
+	for d := 1; d < watchSlots && d < j; d++ {
+		old := (j - d) % watchSlots
+		if !slices.Equal(cur, w.snaps[old*n:(old+1)*n]) {
+			continue
+		}
+		w.period = uint64(d) * uint64(len(w.order))
+		w.perEv, s.fires = 0, 0
+		for r := j - d + 1; r <= j; r++ {
+			w.perEv += w.ev[r%watchSlots]
+		}
+		s.frozen = true
+		return
+	}
+}
+
+// unwatch thaws set si if it is frozen and restarts its observation.
+// Thawing adds the evictions of the whole periods skipped and replays
+// the remaining re-issues through allocate; their loads and stores
+// failed, which has no side effect.
+func (c *Cache) unwatch(si int) {
+	s, w := &c.sets[si], &c.watch[si]
+	if s.frozen {
+		s.frozen = false
+		c.evictions.Add(s.fires / w.period * w.perEv)
+		for i := range s.fires % w.period {
+			c.allocateIn(s, c.retries[w.order[i%uint64(len(w.order))]].addr)
+		}
+	}
+	s.watched = false
+	w.round, w.pos = 0, 0
+	w.order = w.order[:0]
+	w.roundEv = 0
+}
+
+// unwatchAll thaws every set, for whole-cache accesses.
+func (c *Cache) unwatchAll() {
+	for si := range c.sets {
+		if c.sets[si].watched {
+			c.unwatch(si)
+		}
+	}
+}
+
+// touch returns addr's set for any access other than a parked retry's
+// re-issue, thawing it first.
+func (c *Cache) touch(addr memdata.PAddr) *cset {
+	si := c.setIndex(addr)
+	s := &c.sets[si]
+	if s.watched {
+		c.unwatch(si)
+	}
+	return s
 }
 
 type mshr struct {
@@ -226,12 +512,11 @@ type cset struct {
 	// set. When zero — the overwhelmingly common case — installing a
 	// line skips the buffer lookup entirely.
 	wbs int32
-	// failEpoch remembers the Cache.epoch at which a victim scan of
-	// this set last came up empty. Until an event that can unblock a
-	// way bumps the epoch, re-scanning is pointless and allocate
-	// returns nil in O(1) — this is what keeps a structural replay
-	// storm (retries every 4 cycles) cheap on the host.
-	failEpoch uint64
+	// watched: the set's parked retries are under observation or frozen
+	// (see setWatch), so any other access must go through unwatch.
+	watched bool
+	frozen  bool
+	fires   uint64 // frozen: re-issues since the freeze
 }
 
 // refreshBusy recomputes the evictability bit of addr's resident
@@ -239,7 +524,7 @@ type cset struct {
 // create/retire, registration begin/ack, writeback ack), never on the
 // per-retry storm path.
 func (c *Cache) refreshBusy(addr memdata.PAddr, l *line) {
-	s := &c.sets[c.setIndex(addr)]
+	s := c.touch(addr)
 	for i, a := range s.addrs {
 		if a == addr {
 			if l.pend != 0 || l.mshr != nil || l.wbWait {
@@ -267,11 +552,6 @@ type Cache struct {
 	// keeping dead line pointers in capacity for the next allocate.
 	sets    []cset
 	setMask int // len(sets)-1 when a power of two, else -1 (modulo path)
-	// epoch counts events that can turn an unevictable way evictable
-	// (registration ack, fill retiring an MSHR, writeback ack). It
-	// validates cset.failEpoch; a failed victim scan stays failed
-	// until the epoch moves, so blocked-set retries skip the scan.
-	epoch uint64
 	// stampN issues LRU stamps: every hit or install takes the next
 	// value, so larger stamp = more recently used.
 	stampN   uint64
@@ -279,7 +559,15 @@ type Cache struct {
 	usedLine int // lines handed out of linePool so far
 	mshrs    map[memdata.PAddr]*mshr
 	mshrFree []*mshr // retired MSHRs, reused to keep misses allocation-free
-	opFree   []*op   // pooled deferred operations (retries, load completions)
+	opFree   []*op   // pooled load completions
+	// retries holds the parked structurally stalled accesses (free slots
+	// listed in retryFree); batches re-issue them, and watch (one per
+	// set) finds and freezes periodic storms.
+	retries   []retry
+	retryFree []int32
+	batchFree []*batch
+	tail      *batch // the newest batch, the only one a deferral can join
+	watch     []setWatch
 	// pendingReg tracks words with registration requests in flight.
 	pendingReg  map[memdata.PAddr]memdata.WordMask
 	wbuf        *coh.WBBuffer
@@ -321,7 +609,6 @@ func New(eng *sim.Engine, net *noc.Network, node int, name string, p Params, acc
 		mshrs:      make(map[memdata.PAddr]*mshr),
 		pendingReg: make(map[memdata.PAddr]memdata.WordMask),
 		wbuf:       coh.NewWBBuffer(),
-		epoch:      1, // so a zero-valued cset.failEpoch never matches
 		hits:       set.Counter(fmt.Sprintf("l1.%s.hits", name)),
 		misses:     set.Counter(fmt.Sprintf("l1.%s.misses", name)),
 		evictions:  set.Counter(fmt.Sprintf("l1.%s.evictions", name)),
@@ -331,6 +618,7 @@ func New(eng *sim.Engine, net *noc.Network, node int, name string, p Params, acc
 	ptrs := make([]*line, numLines)
 	tags := make([]memdata.PAddr, numLines)
 	stamps := make([]uint64, numLines)
+	c.watch = make([]setWatch, numSets)
 	for i := range c.sets {
 		c.sets[i] = cset{
 			addrs: tags[i*p.Ways : i*p.Ways : (i+1)*p.Ways],
@@ -352,8 +640,10 @@ func (c *Cache) setIndex(addr memdata.PAddr) int {
 	return int(addr/memdata.LineBytes) % len(c.sets)
 }
 
-func (c *Cache) lookup(addr memdata.PAddr) *line {
-	s := &c.sets[c.setIndex(addr)]
+func (c *Cache) lookup(addr memdata.PAddr) *line { return c.lookupIn(c.touch(addr), addr) }
+
+// lookupIn finds addr's resident line in its set s, refreshing LRU.
+func (c *Cache) lookupIn(s *cset, addr memdata.PAddr) *line {
 	for i, a := range s.addrs {
 		if a == addr {
 			c.stampN++
@@ -368,17 +658,28 @@ func (c *Cache) lookup(addr memdata.PAddr) *line {
 // evicting) if needed. It returns nil when every way is unevictable
 // right now; the caller must retry.
 func (c *Cache) allocate(addr memdata.PAddr) *line {
-	if l := c.lookup(addr); l != nil {
-		return l
-	}
-	return c.allocateMiss(addr)
+	l, _ := c.allocateIn(c.touch(addr), addr)
+	return l
 }
 
-// allocateMiss is allocate's non-resident path: find a way for addr,
-// evicting if necessary. Callers must have established that addr is
-// not resident.
-func (c *Cache) allocateMiss(addr memdata.PAddr) *line {
-	s := &c.sets[c.setIndex(addr)]
+// allocKind says how allocateIn found its line. The kinds up to
+// allocEvict are the ones a clean storm re-issue may have (setWatch).
+type allocKind uint8
+
+const (
+	allocHit   allocKind = iota // resident
+	allocNone                   // every way busy: no line
+	allocEvict                  // evicted an empty line; the install waits on no writeback
+	allocGrow                   // installed into an unused way
+	allocDirty                  // evicted a line holding words, or the install waits on a writeback
+)
+
+// allocateIn is allocate on addr's set s, without thawing it: the
+// parked-retry path.
+func (c *Cache) allocateIn(s *cset, addr memdata.PAddr) (*line, allocKind) {
+	if l := c.lookupIn(s, addr); l != nil {
+		return l, allocHit
+	}
 	if n := len(s.lines); n < cap(s.lines) {
 		// Grow into capacity, reusing a dead line left behind a
 		// truncation (WritebackAll) or taking a fresh one from the pool.
@@ -390,15 +691,11 @@ func (c *Cache) allocateMiss(addr memdata.PAddr) *line {
 			l = &c.linePool[c.usedLine]
 			c.usedLine++
 		}
-		return c.install(s, l, addr, n)
-	}
-	if s.failEpoch == c.epoch {
-		return nil // nothing unblocked since the last failed scan
+		return c.install(s, l, addr, n), allocGrow
 	}
 	ev := ^s.busyMask & (uint64(1)<<uint(len(s.addrs)) - 1)
 	if ev == 0 {
-		s.failEpoch = c.epoch
-		return nil
+		return nil, allocNone
 	}
 	victim := bits.TrailingZeros64(ev)
 	oldest := s.stamp[victim]
@@ -409,8 +706,16 @@ func (c *Cache) allocateMiss(addr memdata.PAddr) *line {
 		}
 	}
 	l := s.lines[victim]
+	how := allocEvict
+	if l.shared|l.reg != 0 {
+		how = allocDirty
+	}
 	c.evict(s, l)
-	return c.install(s, l, addr, victim)
+	c.install(s, l, addr, victim)
+	if l.wbWait {
+		how = allocDirty
+	}
+	return l, how
 }
 
 // install resets l, resident at way w, as the freshest line for addr.
@@ -451,15 +756,6 @@ func (c *Cache) evict(s *cset, v *line) {
 	})
 }
 
-// replay re-issues a structurally stalled access a few cycles later.
-// The queued access counts as outstanding so a drain cannot complete
-// (and the next phase begin) before it has actually issued.
-func (c *Cache) replay(o *op) {
-	o.counted = true
-	c.outstanding++
-	c.eng.Schedule(4, o.run)
-}
-
 func (c *Cache) chargeAccess(hit, write bool) {
 	if !c.p.ChargeEnergy {
 		return
@@ -493,22 +789,14 @@ func (c *Cache) Load(addr memdata.PAddr, mask memdata.WordMask, done func(vals [
 		panic("cache: Load address not line-aligned")
 	}
 	l := c.allocate(addr)
-	if l == nil {
-		o := c.newOp()
-		o.kind, o.addr, o.mask, o.doneL = opRetryLoad, addr, mask, done
-		c.eng.Schedule(4, o.run)
-		return
-	}
-	if !c.loadWith(l, addr, mask, done) {
-		o := c.newOp()
-		o.kind, o.addr, o.mask, o.doneL = opRetryLoad, addr, mask, done
-		c.replay(o)
+	if l == nil || !c.loadWith(l, addr, mask, done) {
+		c.park(retry{addr: addr, mask: mask, counted: l != nil, doneL: done})
 	}
 }
 
 // loadWith runs the load against its resident line. It reports false —
 // with no side effects — when every miss-status register is busy; the
-// caller replays the access.
+// caller parks the access.
 func (c *Cache) loadWith(l *line, addr memdata.PAddr, mask memdata.WordMask, done func(vals [memdata.WordsPerLine]uint32)) bool {
 	readable := l.readable()
 	missing := mask &^ readable
@@ -517,7 +805,7 @@ func (c *Cache) loadWith(l *line, addr memdata.PAddr, mask memdata.WordMask, don
 		c.hits.Inc()
 		c.chargeAccess(true, false)
 		o := c.newOp()
-		o.kind, o.vals, o.doneL = opDeliver, l.vals, done
+		o.vals, o.doneL = l.vals, done
 		c.eng.Schedule(c.p.HitLat+c.p.ReadExtra, o.run)
 		return true
 	}
@@ -567,22 +855,14 @@ func (c *Cache) Store(addr memdata.PAddr, mask memdata.WordMask, vals [memdata.W
 		panic("cache: Store address not line-aligned")
 	}
 	l := c.allocate(addr)
-	if l == nil {
-		o := c.newOp()
-		o.kind, o.addr, o.mask, o.vals, o.doneS = opRetryStore, addr, mask, vals, done
-		c.eng.Schedule(4, o.run)
-		return
-	}
-	if !c.storeWith(l, addr, mask, &vals, done) {
-		o := c.newOp()
-		o.kind, o.addr, o.mask, o.vals, o.doneS = opRetryStore, addr, mask, vals, done
-		c.replay(o)
+	if l == nil || !c.storeWith(l, addr, mask, &vals, done) {
+		c.park(retry{addr: addr, mask: mask, store: true, counted: l != nil, vals: vals, doneS: done})
 	}
 }
 
 // storeWith runs the store against its resident line. It reports false
 // — with no side effects — when the registration buffer is full and
-// the line has no registration to merge with; the caller replays.
+// the line has no registration to merge with; the caller parks it.
 func (c *Cache) storeWith(l *line, addr memdata.PAddr, mask memdata.WordMask, vals *[memdata.WordsPerLine]uint32, done func()) bool {
 	if c.p.MSHRs > 0 && len(c.pendingReg) >= c.p.MSHRs {
 		if _, merging := c.pendingReg[addr]; !merging {
@@ -635,7 +915,7 @@ func (c *Cache) HandlePacket(p *coh.Packet) {
 	case coh.WBAck:
 		c.wbuf.Release(p.Line, p.Mask)
 		if !c.wbuf.Busy(p.Line) {
-			s := &c.sets[c.setIndex(p.Line)]
+			s := c.touch(p.Line)
 			s.wbs--
 			for i, a := range s.addrs {
 				if a == p.Line {
@@ -648,7 +928,6 @@ func (c *Cache) HandlePacket(p *coh.Packet) {
 				}
 			}
 		}
-		c.epoch++
 		c.outstanding--
 		c.chk.Progress()
 		c.checkDrained()
@@ -689,7 +968,7 @@ func (c *Cache) fill(p *coh.Packet) {
 	for _, w := range m.waiters {
 		if w.mask&^readable == 0 {
 			o := c.newOp()
-			o.kind, o.vals, o.doneL = opDeliver, l.vals, w.done
+			o.vals, o.doneL = l.vals, w.done
 			c.eng.Schedule(c.p.HitLat+c.p.ReadExtra, o.run)
 		} else {
 			remaining = append(remaining, w)
@@ -700,7 +979,6 @@ func (c *Cache) fill(p *coh.Packet) {
 		delete(c.mshrs, p.Line)
 		l.mshr = nil
 		c.refreshBusy(p.Line, l)
-		c.epoch++
 		c.retireMSHR(m)
 		c.tsnk.Event(uint64(c.eng.Now()), trace.KAccessEnd, uint64(p.Line), 0)
 		c.checkDrained()
@@ -725,7 +1003,6 @@ func (c *Cache) regAck(p *coh.Packet) {
 		l.pend &^= take
 		l.reg |= take
 		c.refreshBusy(p.Line, l)
-		c.epoch++
 	}
 	rem := c.pendingReg[p.Line] &^ p.Mask
 	if rem == 0 {
@@ -801,6 +1078,7 @@ func (c *Cache) ownerInv(p *coh.Packet) {
 // SelfInvalidate drops all Shared words (DeNovo self-invalidation at a
 // synchronization point); Registered words are kept (paper Section 4.3).
 func (c *Cache) SelfInvalidate() {
+	c.unwatchAll()
 	for i := range c.sets {
 		for _, l := range c.sets[i].lines {
 			l.shared = 0
@@ -813,6 +1091,7 @@ func (c *Cache) SelfInvalidate() {
 // are truncated, not released: the dead lines stay in each slice's
 // capacity and are reused by later allocates.
 func (c *Cache) WritebackAll() {
+	c.unwatchAll()
 	for i := range c.sets {
 		s := &c.sets[i]
 		for _, l := range s.lines {
@@ -855,13 +1134,17 @@ func (c *Cache) SetTrace(snk *trace.Sink) {
 	c.trWritebacks = snk.Series("writebacks")
 }
 
-// Outstanding reports in-flight transactions the cache is waiting on
-// (fills, registrations, writebacks, replayed accesses), for the
-// watchdog's work-pending gate.
+// Outstanding reports the work the cache is waiting on, for the
+// watchdog's work-pending gate: live MSHRs (fills), registrations and
+// writebacks in flight, and parked retries whose last attempt found a
+// line but no free MSHR or registration slot. A parked retry whose last
+// attempt found every way of its set busy is not counted, and never
+// was: the busy ways' own fills, registrations or writebacks are.
 func (c *Cache) Outstanding() int { return c.outstanding + len(c.mshrs) }
 
 // CheckInvariants verifies the cache's structural invariants without
-// mutating anything (in particular, without the LRU-refreshing lookup):
+// changing anything the simulation observes (in particular, without the
+// LRU-refreshing lookup; thawing frozen storm sets is exact):
 //
 //   - every MSHR has work attached (requested words or waiters) and is
 //     no older than ageBound (0 disables the age check);
@@ -870,6 +1153,7 @@ func (c *Cache) Outstanding() int { return c.outstanding + len(c.mshrs) }
 //   - a non-empty writeback buffer implies outstanding transactions;
 //   - no line is resident twice within a set.
 func (c *Cache) CheckInvariants(now, ageBound sim.Cycle) error {
+	c.unwatchAll()
 	for addr, m := range c.mshrs {
 		if m.requested == 0 && len(m.waiters) == 0 {
 			return fmt.Errorf("mshr %#x: no requested words and no waiters", addr)
@@ -944,7 +1228,7 @@ func (c *Cache) CheckQuiescent() error {
 
 // peekLine finds addr's resident line without refreshing LRU.
 func (c *Cache) peekLine(addr memdata.PAddr) *line {
-	s := &c.sets[c.setIndex(addr)]
+	s := c.touch(addr)
 	for i, a := range s.addrs {
 		if a == addr {
 			return s.lines[i]

@@ -142,6 +142,24 @@ func (e *Engine) At(t Cycle, fn func()) {
 	e.farPush(event{at: t, seq: e.seq, fn: fn})
 }
 
+// Tail reports the sequence number of the last event still pending at
+// cycle t, when t lies in the ring window [now, now+ringWindow) and has
+// one. Every At call takes the next sequence number, so right after
+// scheduling fn at t, Tail(t) names fn's event; while it still does,
+// nothing else has been scheduled for t since, and work appended to
+// fn's run keeps the engine's FIFO order exactly. Far-heap and past
+// cycles report ok false.
+func (e *Engine) Tail(t Cycle) (seq uint64, ok bool) {
+	if t < e.now || t-e.now >= ringWindow {
+		return 0, false
+	}
+	b := &e.ring[t&(ringWindow-1)]
+	if b.at != t || b.head == len(b.events) {
+		return 0, false
+	}
+	return b.events[len(b.events)-1].seq, true
+}
+
 // nextRing returns the ring bucket holding the earliest pending near
 // event, or nil when the ring is empty. All ring events lie in
 // [now, now+ringWindow), so the scan walks the occupancy words

@@ -494,3 +494,80 @@ func TestDeterminismProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Tail names the last pending event of a ring cycle: true while nothing
+// later was scheduled for that cycle, false for far-heap, past and
+// empty cycles.
+func TestTail(t *testing.T) {
+	fn := func() {}
+	for _, tc := range []struct {
+		name   string
+		setup  func(e *Engine) (t Cycle, seq uint64)
+		wantOK bool
+		// wantSame: ok and the reported seq is the one setup returned.
+		wantSame bool
+	}{
+		{"just scheduled", func(e *Engine) (Cycle, uint64) {
+			e.Schedule(4, fn)
+			seq, _ := e.Tail(4)
+			return 4, seq
+		}, true, true},
+		{"other cycles scheduled later", func(e *Engine) (Cycle, uint64) {
+			e.Schedule(4, fn)
+			seq, _ := e.Tail(4)
+			e.Schedule(3, fn)
+			e.Schedule(5, fn)
+			return 4, seq
+		}, true, true},
+		{"same cycle scheduled later", func(e *Engine) (Cycle, uint64) {
+			e.Schedule(4, fn)
+			seq, _ := e.Tail(4)
+			e.Schedule(4, fn)
+			return 4, seq
+		}, true, false},
+		{"current cycle mid-drain", func(e *Engine) (Cycle, uint64) {
+			var seq uint64
+			e.Schedule(2, func() { seq, _ = e.Tail(2) })
+			e.Schedule(2, fn)
+			e.Step()
+			last, _ := e.Tail(2)
+			if last != seq {
+				panic("Tail moved without scheduling")
+			}
+			return 2, seq
+		}, true, true},
+		{"cycle drained", func(e *Engine) (Cycle, uint64) {
+			e.Schedule(2, fn)
+			seq, _ := e.Tail(2)
+			e.Run()
+			return 2, seq
+		}, false, false},
+		{"past cycle", func(e *Engine) (Cycle, uint64) {
+			e.Schedule(1, fn)
+			seq, _ := e.Tail(1)
+			e.Schedule(10, fn)
+			e.Run()
+			return 1, seq
+		}, false, false},
+		{"far heap", func(e *Engine) (Cycle, uint64) {
+			e.Schedule(ringWindow, fn)
+			return ringWindow, 0
+		}, false, false},
+		{"empty cycle", func(e *Engine) (Cycle, uint64) {
+			e.Schedule(4, fn)
+			return 4 + ringWindow/2, 0
+		}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			at, want := tc.setup(e)
+			seq, ok := e.Tail(at)
+			if ok != tc.wantOK {
+				t.Fatalf("Tail(%d) ok = %v, want %v", at, ok, tc.wantOK)
+			}
+			if same := ok && seq == want; same != tc.wantSame {
+				t.Fatalf("Tail(%d) = %d, setup's event %d: same = %v, want %v", at, seq, want, same, tc.wantSame)
+			}
+		})
+	}
+}

@@ -3,7 +3,7 @@
 # trajectory as BENCH_<date>.json (ns/op, B/op, allocs/op, sim_cycles
 # and the derived sim_cycles_per_sec per cell).
 #
-#   scripts/bench.sh                 # Figure 5 grid, three iterations per cell
+#   scripts/bench.sh                 # Figures 5 and 6, three iterations per cell
 #   BENCH=. scripts/bench.sh         # every benchmark
 #   BENCHTIME=1x scripts/bench.sh    # quicker, noisier single iteration
 #   MINOF=3 scripts/bench.sh         # run each cell 3 times, keep the fastest
@@ -13,7 +13,12 @@
 # each group to its fastest run (benchjson -min-of N), the standard way
 # to strip one-sided scheduler noise before a regression comparison.
 #
-# The default Figure 5 selection includes BenchmarkFig5TraceOverhead,
+# The default selection is the whole paper grid: the Figure 5
+# microbenchmarks and the Figure 6 applications, whose Cache cells
+# (surf/Cache above all) dominate the grid's host time. Shrink the
+# iteration count with BENCHTIME/MINOF, never the workload.
+#
+# The default selection includes BenchmarkFig5TraceOverhead,
 # so every report carries a trace-on vs trace-off row pair; compare
 # them to read the tracing subsystem's host-time overhead:
 #
@@ -27,15 +32,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH=${BENCH:-BenchmarkFig5}
+BENCH=${BENCH:-BenchmarkFig[56]}
 BENCHTIME=${BENCHTIME:-3x}
 DISPATCHTIME=${DISPATCHTIME:-1000x}
 MINOF=${MINOF:-1}
 LABEL=${LABEL:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabeled)}
 OUT=${OUT:-BENCH_$(date -u +%Y%m%d).json}
 
-# The report carries two benchmark families: the Figure 5 workload grid
-# (simulator throughput, sim_cycles_per_sec) and the warp-dispatch
+# The report carries two benchmark families: the Figure 5 and 6 workload
+# grids (simulator throughput, sim_cycles_per_sec) and the warp-dispatch
 # micro-benchmarks from internal/isa (interpreter cost in isolation,
 # instr/s, zero allocs/op in steady state).
 {
